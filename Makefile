@@ -40,8 +40,11 @@ conform: build
 # ff-off with the invariant sweeps on. Deterministic, so a failure in
 # CI reproduces locally with the same seed; findings are shrunk and
 # written to /tmp/conffuzz-findings as ready-to-commit corpus cases.
+# Then a time-boxed coverage-guided run of the trace-file parser:
+# every input must open cleanly or fail with a typed *FormatError.
 fuzzsmoke: build
 	$(GO) run -race ./cmd/conffuzz -seed 1 -n 200 -out /tmp/conffuzz-findings
+	$(GO) test -run '^$$' -fuzz FuzzOpenStreamFile -fuzztime 10s ./internal/trace/
 
 # Full suite, including the ~2 min headline reproduction tests.
 test: build vet
@@ -63,26 +66,26 @@ streamsmoke: build
 # Regenerate the tracked performance baseline: every benchmark (with
 # allocation reporting baked into the benchmarks themselves) plus one
 # serial RunSuite(PaperSchemes()) wall-clock pass and the
-# BenchmarkEngineScaling cores=1/2/4/8 curve, distilled into
-# BENCH_PR9.json by cmd/benchjson — and, via -ledger, into the per-host
-# baseline BENCH_<fingerprint>.json so this machine class hard-gates
-# wall time and the scaling curve from now on. `make benchgate`
-# re-measures just the suite wall pass and fails when it regressed >15%
-# against the committed baseline — the same gate CI runs.
+# BenchmarkEngineScaling cores=1/2/4/8 curve, distilled by
+# cmd/benchjson into the per-host ledger entry BENCH_<fingerprint>.json
+# so this machine class hard-gates wall time and the scaling curve from
+# now on. `make benchgate` re-measures just the suite wall pass and
+# fails when it regressed >15% against the committed baseline — the
+# same gate CI runs.
 bench: build
-	$(GO) test -run '^$$' -bench . -timeout 60m . ./internal/sm/ ./internal/sim/ ./internal/interconnect/ | $(GO) run ./cmd/benchjson -o BENCH_PR9.json -ledger .
+	$(GO) test -run '^$$' -bench . -timeout 60m . ./internal/sm/ ./internal/sim/ ./internal/interconnect/ | $(GO) run ./cmd/benchjson -ledger .
 
 # The gate measures the wall headline (one 1x pass) plus the zero-alloc
 # hot-path benchmarks (enough iterations to amortize warm-up), the
 # streamed issue path included: wall time gates unconditionally against
-# this host class's ledger entry when one is committed, else only when
-# the flat baseline's fingerprint matches; allocs/op (deterministic per
-# binary) gate everywhere.
+# this host class's ledger entry when one is committed and is skipped
+# otherwise; allocs/op (deterministic per binary) gate everywhere,
+# against any ledger entry when this class has none.
 benchgate: build
 	$(GO) test -run '^$$' -bench 'BenchmarkSuitePaperWall' -benchtime 1x -timeout 30m . > /tmp/bench_fresh.txt
 	$(GO) test -run '^$$' -bench 'BenchmarkL1DAccess|BenchmarkPDPTSample|BenchmarkIssueStorePath|BenchmarkLanePushBatch|BenchmarkStealScheduleStep' -benchtime 10000x -timeout 30m . ./internal/sm/ ./internal/sim/ ./internal/interconnect/ >> /tmp/bench_fresh.txt
 	$(GO) run ./cmd/benchjson -o /tmp/bench_fresh.json < /tmp/bench_fresh.txt
-	$(GO) run ./cmd/benchgate -baselines . -baseline BENCH_PR9.json -fresh /tmp/bench_fresh.json -max-regress-pct 15
+	$(GO) run ./cmd/benchgate -baselines . -fresh /tmp/bench_fresh.json -max-regress-pct 15
 
 # Multi-core determinism smoke under the race detector: the same
 # dlpsim run serially and at -cores 0 (auto: all host CPUs) with the

@@ -11,6 +11,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/mem"
 	"repro/internal/metrics"
+	"repro/internal/policy"
 )
 
 // Each evaluation table/figure has a benchmark that regenerates it. The
@@ -420,7 +421,7 @@ func BenchmarkDlpsimCoresMM(b *testing.B) {
 // BenchmarkPDPTSample measures the Fig. 9 PD-computation cycle.
 func BenchmarkPDPTSample(b *testing.B) {
 	b.ReportAllocs()
-	p := core.NewPDPT(128, 4, 15)
+	p := policy.NewPDPT(128, 4, 15)
 	for i := 0; i < b.N; i++ {
 		p.CreditVTA(uint8(i % 128))
 		p.CreditTDA(uint8((i + 7) % 128))

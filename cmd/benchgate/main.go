@@ -6,17 +6,14 @@
 // it with cmd/benchjson, and hands both documents here.
 //
 // Wall time only compares meaningfully within one machine class, so
-// the preferred mode is the per-host baseline ledger: -baselines DIR
-// names a directory of BENCH_<fingerprint>.json documents (recorded by
-// `make bench` via benchjson -ledger), benchgate picks the entry whose
+// the baseline is the per-host ledger: -baselines DIR names a
+// directory of BENCH_<fingerprint>.json documents (recorded by `make
+// bench` via benchjson -ledger), benchgate picks the entry whose
 // fingerprint ({num_cpu, gomaxprocs, goarch}) matches the gating host,
 // and the wall gate is then enforced unconditionally — same machine
-// class by construction, nothing to warn-skip. Only when the ledger
-// has no entry for this class does the gate fall back to the flat
-// -baseline document and the old behavior: the wall gate runs when
-// that document's fingerprint matches and is skipped with a warning
-// otherwise. The allocs/op columns are deterministic per binary, so
-// they gate on every host in every mode.
+// class by construction. When the ledger has no entry for this class,
+// allocs/op gate against any entry (they are deterministic per binary)
+// and the wall gate is skipped with a warning.
 //
 // Individual micro-benchmark ns/op are printed side by side for the
 // log but never gated: at smoke iteration counts (and across
@@ -34,7 +31,7 @@
 //
 // Usage:
 //
-//	benchgate -baselines . -baseline BENCH_PR9.json -fresh /tmp/bench_fresh.json -max-regress-pct 15
+//	benchgate -baselines . -fresh /tmp/bench_fresh.json -max-regress-pct 15
 package main
 
 import (
@@ -50,8 +47,7 @@ import (
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("benchgate: ")
-	basePath := flag.String("baseline", "BENCH_PR9.json", "committed baseline document (fallback when -baselines has no entry for this host)")
-	ledgerDir := flag.String("baselines", "", "per-host baseline ledger directory (BENCH_<fingerprint>.json files)")
+	ledgerDir := flag.String("baselines", ".", "per-host baseline ledger directory (BENCH_<fingerprint>.json files)")
 	freshPath := flag.String("fresh", "", "fresh measurement to gate (required)")
 	maxPct := flag.Float64("max-regress-pct", 15, "maximum allowed suite-wall regression in percent")
 	minScaling := flag.Float64("min-scaling", 3, "required top-point speedup of any recorded scaling curve (enforced only on hosts with enough CPUs)")
@@ -72,33 +68,20 @@ func main() {
 		freshHost = benchfmt.CurrentHost()
 	}
 
-	// With a ledger, the entry matching this host class is the
-	// baseline, and the wall gate is unconditional — same class by
-	// construction, so there is nothing to warn-skip. The flat
-	// -baseline document is only consulted when this class has no
-	// committed entry yet.
-	var base *benchfmt.Baseline
-	hostGated := false
-	if *ledgerDir != "" {
-		b, path, err := benchfmt.FindBaseline(*ledgerDir, freshHost)
-		switch {
-		case err == nil:
-			base, hostGated = b, true
-			fmt.Printf("gating against ledger entry %s (%s)\n", path, freshHost)
-		case errors.Is(err, fs.ErrNotExist):
-			fmt.Printf("benchgate: no ledger entry for this host class (%s); "+
-				"falling back to %s — run `make bench` and commit %s to hard-gate here\n",
-				freshHost, *basePath, path)
-		default:
-			log.Fatal(err)
-		}
+	// The entry matching this host class is the baseline, and the wall
+	// gate is unconditional — same class by construction. A class with
+	// no committed entry yet gates allocs/op against any entry.
+	base, path, err := benchfmt.FindBaseline(*ledgerDir, freshHost)
+	hostGated := err == nil
+	if errors.Is(err, fs.ErrNotExist) {
+		fmt.Printf("benchgate: no ledger entry for this host class (%s); "+
+			"run `make bench` and commit %s to hard-gate here\n", freshHost, path)
+		base, path, err = benchfmt.AnyBaseline(*ledgerDir)
 	}
-	if base == nil {
-		base, err = benchfmt.ReadFile(*basePath)
-		if err != nil {
-			log.Fatal(err)
-		}
+	if err != nil {
+		log.Fatal(err)
 	}
+	fmt.Printf("gating against ledger entry %s (%s)\n", path, base.Host)
 
 	fmt.Printf("suite wall: baseline %.1fs, fresh %.1fs (%+.1f%%)\n",
 		base.SuiteWallSeconds, fresh.SuiteWallSeconds,
@@ -140,7 +123,7 @@ func main() {
 		}
 	}
 
-	if !hostGated && !benchfmt.HostMatches(base.Host, freshHost) {
+	if !hostGated {
 		fmt.Printf("benchgate: WARNING: host fingerprint mismatch (baseline: %s; this host: %s); "+
 			"skipping the wall-time gate, allocs/op still enforced\n", base.Host, freshHost)
 		fmt.Println("benchgate: OK (allocs only)")

@@ -1,6 +1,6 @@
 // Command benchjson converts `go test -bench` text output into the
-// machine-readable performance baseline the repo tracks
-// (BENCH_PR8.json). It reads bench output on stdin and writes a JSON
+// machine-readable performance baseline the repo tracks. It reads
+// bench output on stdin and prints (and with -o writes) a JSON
 // document containing one record per benchmark — name, iterations,
 // ns/op, and the B/op and allocs/op columns when present — plus the
 // wall-clock seconds of one serial RunSuite(PaperSchemes()) pass, taken
@@ -9,7 +9,7 @@
 // are only ever gated within one machine class. The document format
 // lives in internal/benchfmt, shared with cmd/benchgate.
 //
-// With -ledger DIR the same document is additionally recorded under
+// With -ledger DIR the document is recorded under
 // DIR/BENCH_<fingerprint>.json — the per-host baseline ledger. Each
 // machine class keeps exactly one committed entry there, and benchgate
 // -baselines hard-gates wall time against the entry whose fingerprint
@@ -17,7 +17,7 @@
 //
 // Usage:
 //
-//	go test -run '^$' -bench . . ./internal/sm/ | benchjson -o BENCH_PR8.json -ledger .
+//	go test -run '^$' -bench . . ./internal/sm/ | benchjson -ledger .
 package main
 
 import (
@@ -32,7 +32,7 @@ import (
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("benchjson: ")
-	out := flag.String("o", "BENCH_PR8.json", "output file; - writes to stdout only")
+	out := flag.String("o", "-", "output file; - writes to stdout only")
 	ledger := flag.String("ledger", "", "also record the document in this per-host baseline directory as BENCH_<fingerprint>.json")
 	flag.Parse()
 

@@ -34,8 +34,7 @@
 // Observability: -metrics FILE streams cycle-domain counter samples
 // (JSONL) from the simulation; -trace FILE writes a Chrome trace_event
 // timeline of the run, viewable at ui.perfetto.dev. Neither affects
-// the simulated results. (The kernel-replay flag formerly called
-// -trace is now -kernel.)
+// the simulated results.
 package main
 
 import (
@@ -67,8 +66,6 @@ func main() {
 	sizeKB := flag.Int("size", 16, "L1D capacity in KB (16, 32 or 64)")
 	list := flag.Bool("list", false, "list available applications")
 	asJSON := flag.Bool("json", false, "emit the result as JSON")
-	dump := flag.String("dump", "", "write the generated kernel trace to this file and exit")
-	kernelFile := flag.String("kernel", "", "run a kernel from this trace file instead of -app")
 	retries := flag.Int("retries", 0, "extra attempts on transient failures")
 	timeout := flag.Duration("timeout", 0, "wall-clock budget for the run (e.g. 5m); 0 = none")
 	selfCheck := flag.Bool("selfcheck", false, "enable sampled engine invariant sweeps")
@@ -90,9 +87,6 @@ func main() {
 	}
 	if *streamFile != "" {
 		*streamMode = true
-		if *kernelFile != "" {
-			log.Fatal("-stream-file and -kernel are mutually exclusive")
-		}
 	}
 
 	if *list {
@@ -128,17 +122,6 @@ func main() {
 		defer fs.Close()
 		stream = fs
 		name, class, runName = fs.Name(), "replay", fs.Name()
-	case *kernelFile != "":
-		f, err := os.Open(*kernelFile)
-		if err != nil {
-			log.Fatal(err)
-		}
-		kernel, err = trace.ReadKernel(f)
-		f.Close()
-		if err != nil {
-			log.Fatal(err)
-		}
-		name, class, runName = kernel.Name, "custom", kernel.Name
 	case strings.Contains(*app, ","):
 		// Multi-kernel grid: back-to-back registry apps as one stream.
 		if !*streamMode {
@@ -170,24 +153,6 @@ func main() {
 		}
 		name, class = spec.Name, spec.Class.String()
 		runName = spec.Abbr
-	}
-
-	if *dump != "" {
-		if kernel == nil {
-			log.Fatal("-dump needs a materialized kernel; use dlptrace record for streams")
-		}
-		f, err := os.Create(*dump)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if _, err := kernel.WriteTo(f); err != nil {
-			log.Fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("wrote %s trace to %s\n", kernel.Name, *dump)
-		return
 	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)

@@ -45,6 +45,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/mem"
 	"repro/internal/metrics"
+	"repro/internal/policy"
 	"repro/internal/trace"
 	"repro/internal/workloads"
 )
@@ -253,7 +254,7 @@ func main() {
 
 // printSample emits one row: the counters that drove the Fig. 9 decision
 // and the resulting per-instruction PDs.
-func printSample(w *tabwriter.Writer, sample, tda, vta uint64, pdpt *core.PDPT, pcs []uint32) {
+func printSample(w *tabwriter.Writer, sample, tda, vta uint64, pdpt *policy.PDPT, pcs []uint32) {
 	decision := "hold"
 	switch {
 	case vta > tda:

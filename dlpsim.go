@@ -237,13 +237,14 @@ func ReuseMissRate(cfg *Config, k *Kernel) float64 {
 	return rdd.ReuseMissRate(k, cfg.NumSMs, cfg.L1D)
 }
 
-// WriteKernel serializes a kernel to the library's binary trace format;
-// ReadKernel loads one back. The format is documented in
-// internal/trace/serialize.go and is stable across runs, so kernels —
-// including ones converted from external simulators — can be stored and
-// replayed byte-identically.
+// WriteKernel serializes a kernel to the library's checksummed,
+// chunk-indexed trace format ("DLPSTRM1", the format dlptrace records
+// and dlpsim -stream-file replays); ReadKernel loads one back. The
+// format is documented in internal/trace/file.go and is stable across
+// runs, so kernels — including ones converted from external simulators
+// — can be stored and replayed byte-identically.
 func WriteKernel(w io.Writer, k *Kernel) error {
-	_, err := k.WriteTo(w)
+	_, err := trace.Encode(w, trace.NewKernelStream(k), 0)
 	return err
 }
 

@@ -1,5 +1,6 @@
 // Package benchfmt defines the repository's machine-readable
-// performance baseline (the BENCH_PR*.json documents): parsing `go test
+// performance baseline (the per-host BENCH_<fingerprint>.json ledger
+// documents): parsing `go test
 // -bench` text output into one, serializing it, and gating a fresh
 // measurement against a committed baseline. cmd/benchjson produces the
 // documents; cmd/benchgate (and CI's benchmark-regression step) consume
@@ -11,6 +12,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -85,6 +87,22 @@ func FindBaseline(dir string, h *Host) (*Baseline, string, error) {
 			path, b.Host, h)
 	}
 	return b, path, nil
+}
+
+// AnyBaseline loads the first ledger entry in dir (by filename) for a
+// host class that has none of its own: allocs/op are deterministic per
+// binary, so any class's entry can gate them. An empty ledger reports
+// fs.ErrNotExist.
+func AnyBaseline(dir string) (*Baseline, string, error) {
+	paths, err := filepath.Glob(filepath.Join(dir, "BENCH_*.json"))
+	if err != nil {
+		return nil, "", err
+	}
+	if len(paths) == 0 {
+		return nil, "", fmt.Errorf("benchfmt: no BENCH_*.json ledger entries in %s: %w", dir, fs.ErrNotExist)
+	}
+	b, err := ReadFile(paths[0])
+	return b, paths[0], err
 }
 
 // HostMatches reports whether two fingerprints describe the same

@@ -233,6 +233,31 @@ func TestLedgerFindBaseline(t *testing.T) {
 	}
 }
 
+// TestLedgerAnyBaseline: a host class without its own entry still
+// finds some entry to gate allocs/op against, and an empty ledger is
+// reported as fs.ErrNotExist.
+func TestLedgerAnyBaseline(t *testing.T) {
+	dir := t.TempDir()
+	if _, _, err := AnyBaseline(dir); !errors.Is(err, fs.ErrNotExist) {
+		t.Fatalf("empty ledger: err = %v, want fs.ErrNotExist", err)
+	}
+	h := &Host{NumCPU: 1, GOMAXPROCS: 1, GOARCH: "amd64"}
+	enc, err := (&Baseline{SuiteWallSeconds: 7, Host: h}).Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(BaselineFile(dir, h), enc, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	got, path, err := AnyBaseline(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if path != BaselineFile(dir, h) || got.SuiteWallSeconds != 7 {
+		t.Errorf("AnyBaseline = %s, %+v", path, got)
+	}
+}
+
 const scalingBench = `goos: linux
 goarch: amd64
 pkg: repro

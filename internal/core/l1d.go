@@ -32,8 +32,8 @@ type L1D struct {
 	missQ  *cache.FIFO // fetches for misses that reserved a line
 	bypsQ  *cache.FIFO // bypassed fetches and write-through stores (never stalls)
 
-	pol      policy.Policy           // the decision maker
-	eligible func(*cache.Line) bool  // victim filter, bound once at construction
+	pol      policy.Policy          // the decision maker
+	eligible func(*cache.Line) bool // victim filter, bound once at construction
 
 	st   *stats.Stats
 	seen map[uint64]bool // line IDs ever requested, for compulsory-miss accounting
@@ -92,7 +92,7 @@ func (c *L1D) Stats() *stats.Stats { return c.st }
 // PDPT exposes the prediction table for tests and introspection; nil for
 // policies that don't carry one (everything but Global-Protection and
 // DLP).
-func (c *L1D) PDPT() *PDPT {
+func (c *L1D) PDPT() *policy.PDPT {
 	if p, ok := c.pol.(policy.PDPTCarrier); ok {
 		return p.PDPT()
 	}

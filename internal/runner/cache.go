@@ -5,6 +5,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sync"
@@ -89,8 +90,8 @@ func kernelDigest(k *trace.Kernel) (string, bool) {
 		e := d.(digestEntry)
 		return e.digest, e.ok
 	}
-	h := sha256.New()
-	if _, err := k.WriteTo(h); err != nil {
+	sum, err := trace.Encode(io.Discard, trace.NewKernelStream(k), 0)
+	if err != nil {
 		// An unserializable kernel cannot be content-addressed. The old
 		// fallback ("unserializable-%p") reused the pointer address,
 		// which a different process — or a later allocation in this one
@@ -100,7 +101,7 @@ func kernelDigest(k *trace.Kernel) (string, bool) {
 		kernelDigests.Store(k, digestEntry{})
 		return "", false
 	}
-	e := digestEntry{digest: hex.EncodeToString(h.Sum(nil)), ok: true}
+	e := digestEntry{digest: hex.EncodeToString(sum[:]), ok: true}
 	kernelDigests.Store(k, e)
 	return e.digest, true
 }

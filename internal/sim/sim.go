@@ -263,30 +263,19 @@ func New(cfg *config.Config, policy config.Policy, opts Options) (*Engine, error
 // Run executes the kernel to completion and returns aggregated stats.
 // The context is checked periodically inside the cycle loop, so a
 // cancelled sweep stops within a few thousand simulated cycles instead
-// of running its kernels to completion.
+// of running its kernels to completion. The validated kernel launches
+// as a trace.KernelStream, so both entry points share one launch path.
 func (e *Engine) Run(ctx context.Context, k *trace.Kernel) (*stats.Stats, error) {
 	if err := k.Validate(e.cfg.WarpSize); err != nil {
 		return nil, err
 	}
-	for i, b := range k.Blocks {
-		if len(b.Warps) > e.cfg.MaxWarpsPerSM {
-			return nil, &LaunchError{Kernel: k.Name, Detail: fmt.Sprintf(
-				"block %d has %d warps but an SM holds at most %d resident",
-				i, len(b.Warps), e.cfg.MaxWarpsPerSM)}
-		}
-	}
-	for i, b := range k.Blocks {
-		e.sms[i%len(e.sms)].AssignBlock(b)
-	}
-	return e.runLoop(ctx, k.Name)
+	return e.RunStream(ctx, trace.NewKernelStream(k))
 }
 
-// RunStream executes a lazily generated kernel stream to completion.
-// It is Run with the launch shape read from the stream instead of a
-// materialized kernel: blocks round-robin onto SMs in the same order,
-// and each SM pulls instruction windows through per-warp cursors as
-// warps advance. Stats are bit-identical to Run on the materialized
-// equivalent (see trace.Materialize).
+// RunStream executes a kernel stream to completion: blocks round-robin
+// onto SMs, and each SM pulls instruction windows through per-warp
+// cursors as warps advance. Stats are bit-identical to Run on the
+// materialized equivalent (see trace.Materialize).
 func (e *Engine) RunStream(ctx context.Context, src trace.Stream) (*stats.Stats, error) {
 	name := src.Name()
 	blocks := src.Blocks()
@@ -311,8 +300,8 @@ func (e *Engine) RunStream(ctx context.Context, src trace.Stream) (*stats.Stats,
 }
 
 // runLoop steps the machine until the launched work drains, the cycle
-// budget runs out, or the machine wedges. Both Run and RunStream land
-// here after assigning their blocks.
+// budget runs out, or the machine wedges. RunStream lands here after
+// assigning its blocks.
 func (e *Engine) runLoop(ctx context.Context, name string) (*stats.Stats, error) {
 	// With more than one worker, spin up the persistent phase-worker
 	// pool for the duration of the run. The deferred stop also runs on

@@ -23,7 +23,7 @@ func storeBench() (s *SM, step func()) {
 		addrs[i] = addr.Addr(i * 4) // 32 lanes, one 128B line
 	}
 	tr := &trace.WarpTrace{Instrs: []trace.Instr{trace.NewStore(1, addrs)}}
-	s.AssignBlock(&trace.Block{Warps: []*trace.WarpTrace{tr}})
+	assignBlock(s, tr)
 	now := uint64(0)
 	tick := func() {
 		now++

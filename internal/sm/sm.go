@@ -17,9 +17,7 @@ import (
 )
 
 // warp is one resident warp's execution state. Its position in the
-// instruction stream is a trace.Cursor: plain slice arithmetic over a
-// precomputed WarpTrace on the compat path, a chunk-refilling window
-// over a trace.Stream on the streaming path.
+// instruction stream is a trace.Cursor over the launched trace.Stream.
 type warp struct {
 	cur         trace.Cursor
 	busyUntil   uint64
@@ -52,13 +50,12 @@ type memInstr struct {
 	next int
 }
 
-// pendingBlock is one dispatched-but-unadmitted thread block: either a
-// precomputed block or a stream's block index.
+// pendingBlock is one dispatched-but-unadmitted thread block of a
+// stream.
 type pendingBlock struct {
-	b     *trace.Block // precomputed path (nil on the stream path)
-	src   trace.Stream // stream path (nil on the precomputed path)
-	idx   int          // block index within src
-	warps int          // warp count, known without touching the trace
+	src   trace.Stream
+	idx   int // block index within src
+	warps int // warp count, known without touching the trace
 }
 
 // SM is one streaming multiprocessor.
@@ -73,9 +70,7 @@ type SM struct {
 	ageCounter    uint64
 	nextReqID     uint64
 
-	// chunks recycles stream-refill buffers across this SM's warps;
-	// created lazily on the first AssignStream, nil on the
-	// precomputed-kernel path.
+	// chunks recycles stream-refill buffers across this SM's warps.
 	chunks *trace.ChunkPool
 
 	ldst    []*memInstr
@@ -127,6 +122,7 @@ func New(cfg *config.Config, id int, policy config.Policy, pool *mem.Pool) *SM {
 		ldstCap: 48,
 		greedy:  make([]int, cfg.SchedulersPerSM),
 		pool:    pool,
+		chunks:  trace.NewChunkPool(trace.DefaultChunkInstrs),
 
 		schedSleepUntil: make([]uint64, cfg.SchedulersPerSM),
 	}
@@ -143,18 +139,10 @@ func (s *SM) L1D() *core.L1D { return s.l1d }
 // Stats returns the SM's counters (cycles are tracked by the engine).
 func (s *SM) Stats() *stats.Stats { return s.st }
 
-// AssignBlock queues a precomputed thread block for execution on this SM.
-func (s *SM) AssignBlock(b *trace.Block) {
-	s.pendingBlocks = append(s.pendingBlocks, pendingBlock{b: b, warps: len(b.Warps)})
-}
-
 // AssignStream queues block idx of a lazy trace stream for execution on
 // this SM. Warps of the block pull chunk-sized instruction windows from
 // the stream through this SM's chunk pool as they execute.
 func (s *SM) AssignStream(src trace.Stream, idx int) {
-	if s.chunks == nil {
-		s.chunks = trace.NewChunkPool(trace.DefaultChunkInstrs)
-	}
 	s.pendingBlocks = append(s.pendingBlocks, pendingBlock{src: src, idx: idx, warps: src.Warps(idx)})
 }
 
@@ -208,11 +196,7 @@ func (s *SM) admitBlocks() bool {
 			}
 			s.ageCounter++
 			w := s.getWarp()
-			if pb.b != nil {
-				w.cur.InitPrecomputed(pb.b.Warps[wi])
-			} else {
-				w.cur.InitStream(pb.src, s.chunks, s.cfg.L1D.LineSize, pb.idx, wi)
-			}
+			w.cur.InitStream(pb.src, s.chunks, s.cfg.L1D.LineSize, pb.idx, wi)
 			w.slot = slot
 			w.age = s.ageCounter
 			w.block = rb

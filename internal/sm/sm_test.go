@@ -32,6 +32,13 @@ func runAlone(t *testing.T, s *SM, budget int) uint64 {
 	return 0
 }
 
+// assignBlock queues one thread block of the given warps on s through
+// the same stream launch path the engine uses.
+func assignBlock(s *SM, warps ...*trace.WarpTrace) {
+	k := &trace.Kernel{Name: "test", Blocks: []*trace.Block{{Warps: warps}}}
+	s.AssignStream(trace.NewKernelStream(k), 0)
+}
+
 func seqLoad(pc uint32, line int) trace.Instr {
 	return trace.NewLoad(pc, []addr.Addr{addr.Addr(line * 128)})
 }
@@ -47,7 +54,7 @@ func computeWarp(n, latency int) *trace.WarpTrace {
 func TestComputeOnlyWarpCompletes(t *testing.T) {
 	cfg := config.Baseline()
 	s := New(cfg, 0, config.PolicyBaseline, nil)
-	s.AssignBlock(&trace.Block{Warps: []*trace.WarpTrace{computeWarp(10, 4)}})
+	assignBlock(s, computeWarp(10, 4))
 	cycles := runAlone(t, s, 1000)
 	st := s.Stats()
 	if st.WarpInsns != 10 {
@@ -65,13 +72,11 @@ func TestComputeOnlyWarpCompletes(t *testing.T) {
 func TestTwoWarpsOverlapLatency(t *testing.T) {
 	cfg := config.Baseline()
 	one := New(cfg, 0, config.PolicyBaseline, nil)
-	one.AssignBlock(&trace.Block{Warps: []*trace.WarpTrace{computeWarp(50, 8)}})
+	assignBlock(one, computeWarp(50, 8))
 	soloCycles := runAlone(t, one, 10000)
 
 	two := New(cfg, 0, config.PolicyBaseline, nil)
-	two.AssignBlock(&trace.Block{Warps: []*trace.WarpTrace{
-		computeWarp(50, 8), computeWarp(50, 8),
-	}})
+	assignBlock(two, computeWarp(50, 8), computeWarp(50, 8))
 	dualCycles := runAlone(t, two, 10000)
 	// The second warp hides in the first's latency: far less than 2x.
 	if dualCycles > soloCycles+soloCycles/4 {
@@ -86,7 +91,7 @@ func TestLoadRoundTrip(t *testing.T) {
 		seqLoad(0, 1),
 		seqLoad(1, 1), // second load hits in L1D
 	}}
-	s.AssignBlock(&trace.Block{Warps: []*trace.WarpTrace{w}})
+	assignBlock(s, w)
 	runAlone(t, s, 1000)
 	st := s.L1D().Stats()
 	if st.L1DAccesses != 2 || st.L1DMisses != 1 || st.L1DHits != 1 {
@@ -103,7 +108,7 @@ func TestCoalescedLoadCountsLines(t *testing.T) {
 		addrs[i] = addr.Addr(i * 16)
 	}
 	w := &trace.WarpTrace{Instrs: []trace.Instr{trace.NewLoad(0, addrs)}}
-	s.AssignBlock(&trace.Block{Warps: []*trace.WarpTrace{w}})
+	assignBlock(s, w)
 	runAlone(t, s, 1000)
 	if got := s.L1D().Stats().L1DAccesses; got != 4 {
 		t.Errorf("L1D accesses = %d, want 4 coalesced lines", got)
@@ -117,7 +122,7 @@ func TestStoreDoesNotBlockWarp(t *testing.T) {
 		trace.NewStore(0, []addr.Addr{0}),
 		trace.NewCompute(1, 2, 32),
 	}}
-	s.AssignBlock(&trace.Block{Warps: []*trace.WarpTrace{w}})
+	assignBlock(s, w)
 	cycles := runAlone(t, s, 100)
 	if cycles > 20 {
 		t.Errorf("store stalled the warp: %d cycles", cycles)
@@ -133,9 +138,7 @@ func TestBlockAdmissionRespectsCapacity(t *testing.T) {
 	s := New(cfg, 0, config.PolicyBaseline, nil)
 	// Three blocks of 2 warps each: only one resident at a time.
 	for i := 0; i < 3; i++ {
-		s.AssignBlock(&trace.Block{Warps: []*trace.WarpTrace{
-			computeWarp(5, 2), computeWarp(5, 2),
-		}})
+		assignBlock(s, computeWarp(5, 2), computeWarp(5, 2))
 	}
 	runAlone(t, s, 10000)
 	if got := s.Stats().WarpInsns; got != 30 {
@@ -147,9 +150,7 @@ func TestOversizedBlockNeverAdmitted(t *testing.T) {
 	cfg := config.Baseline()
 	cfg.MaxWarpsPerSM = 1
 	s := New(cfg, 0, config.PolicyBaseline, nil)
-	s.AssignBlock(&trace.Block{Warps: []*trace.WarpTrace{
-		computeWarp(1, 1), computeWarp(1, 1),
-	}})
+	assignBlock(s, computeWarp(1, 1), computeWarp(1, 1))
 	for now := uint64(1); now < 100; now++ {
 		s.Tick(now)
 	}
@@ -166,9 +167,7 @@ func TestGTOPrefersOldestWarp(t *testing.T) {
 	cfg.SchedulersPerSM = 1
 	s := New(cfg, 0, config.PolicyBaseline, nil)
 	// Warp 0 (older) and warp 1 (younger), both always ready.
-	s.AssignBlock(&trace.Block{Warps: []*trace.WarpTrace{
-		computeWarp(3, 1), computeWarp(3, 1),
-	}})
+	assignBlock(s, computeWarp(3, 1), computeWarp(3, 1))
 	s.Tick(1)
 	// After one cycle exactly one instruction issued, and it must belong
 	// to the oldest warp (slot 0): its pc advanced.
@@ -184,9 +183,7 @@ func TestGTOPrefersOldestWarp(t *testing.T) {
 func TestDualSchedulersIssueTwoPerCycle(t *testing.T) {
 	cfg := config.Baseline()
 	s := New(cfg, 0, config.PolicyBaseline, nil)
-	s.AssignBlock(&trace.Block{Warps: []*trace.WarpTrace{
-		computeWarp(10, 1), computeWarp(10, 1), computeWarp(10, 1), computeWarp(10, 1),
-	}})
+	assignBlock(s, computeWarp(10, 1), computeWarp(10, 1), computeWarp(10, 1), computeWarp(10, 1))
 	s.Tick(1)
 	if got := s.Stats().WarpInsns; got != 2 {
 		t.Errorf("issued %d warp instructions in one cycle, want 2 (dual schedulers)", got)
@@ -209,9 +206,7 @@ func TestWarpThrottleLimitsConcurrency(t *testing.T) {
 	cfg.SchedulersPerSM = 2
 	cfg.MaxActiveWarps = 1
 	s := New(cfg, 0, config.PolicyBaseline, nil)
-	s.AssignBlock(&trace.Block{Warps: []*trace.WarpTrace{
-		computeWarp(10, 1), computeWarp(10, 1), computeWarp(10, 1),
-	}})
+	assignBlock(s, computeWarp(10, 1), computeWarp(10, 1), computeWarp(10, 1))
 	s.Tick(1)
 	// Only the oldest warp may issue, so despite two schedulers only one
 	// instruction goes out per cycle.
@@ -228,9 +223,7 @@ func TestWarpThrottleLimitsConcurrency(t *testing.T) {
 func TestWarpThrottleDisabledByDefault(t *testing.T) {
 	cfg := config.Baseline()
 	s := New(cfg, 0, config.PolicyBaseline, nil)
-	s.AssignBlock(&trace.Block{Warps: []*trace.WarpTrace{
-		computeWarp(10, 1), computeWarp(10, 1), computeWarp(10, 1), computeWarp(10, 1),
-	}})
+	assignBlock(s, computeWarp(10, 1), computeWarp(10, 1), computeWarp(10, 1), computeWarp(10, 1))
 	s.Tick(1)
 	if got := s.Stats().WarpInsns; got != 2 {
 		t.Errorf("issued %d instructions, want 2 (dual schedulers, no throttle)", got)
@@ -242,9 +235,7 @@ func TestLRRRotatesThroughWarps(t *testing.T) {
 	cfg.SchedulersPerSM = 1
 	cfg.Scheduler = config.SchedLRR
 	s := New(cfg, 0, config.PolicyBaseline, nil)
-	s.AssignBlock(&trace.Block{Warps: []*trace.WarpTrace{
-		computeWarp(4, 1), computeWarp(4, 1), computeWarp(4, 1),
-	}})
+	assignBlock(s, computeWarp(4, 1), computeWarp(4, 1), computeWarp(4, 1))
 	// With latency-1 computes all three warps stay ready; LRR must visit
 	// warp 0, 1, 2, 0 over the first four cycles.
 	want := []int{1, 1, 1, 2} // expected pc of slot 0 after each tick? track issues instead
@@ -275,10 +266,10 @@ func TestLRRCompletesKernel(t *testing.T) {
 	cfg := config.Baseline()
 	cfg.Scheduler = config.SchedLRR
 	s := New(cfg, 0, config.PolicyBaseline, nil)
-	s.AssignBlock(&trace.Block{Warps: []*trace.WarpTrace{
+	assignBlock(s,
 		computeWarp(10, 3), computeWarp(10, 3),
-		{Instrs: []trace.Instr{seqLoad(0, 1), seqLoad(1, 2), seqLoad(2, 1)}},
-	}})
+		&trace.WarpTrace{Instrs: []trace.Instr{seqLoad(0, 1), seqLoad(1, 2), seqLoad(2, 1)}},
+	)
 	runAlone(t, s, 5000)
 	if got := s.Stats().WarpInsns; got != 23 {
 		t.Errorf("WarpInsns = %d, want 23", got)

@@ -11,7 +11,7 @@ import (
 )
 
 // storeBenchStream is storeBench with the warp fed from an on-disk
-// trace stream instead of a precomputed block: every rewind re-pulls
+// trace stream instead of a precomputed kernel: every rewind re-pulls
 // the warp's chunk through the FileStream — one ReadAt, a decode into
 // the pooled chunk, and per-chunk coalesced-line memoization — so the
 // measured round covers the streamed frontend's whole refill + issue

@@ -8,7 +8,7 @@ import (
 // a Kernel (blocks of warps of in-order instructions), but instruction
 // windows are produced on demand instead of materialized up front.
 // Backends include on-demand workload generators, on-disk trace files,
-// and — for compatibility — a fully precomputed Kernel.
+// and a fully precomputed Kernel.
 //
 // Streams must be deterministic: the same (block, warp, start) always
 // yields the same window contents, so simulations are bit-identical to
@@ -115,11 +115,10 @@ func (p *ChunkPool) Put(c *Chunk) {
 	}
 }
 
-// A Cursor walks one warp's instruction stream in order. It has two
-// modes behind one zero-branch-on-the-hot-path API: precomputed mode
-// is plain slice arithmetic over a WarpTrace (the compat path, cost
-// identical to the old pc-integer scheme), and stream mode refills a
-// pooled chunk window on demand.
+// A Cursor walks one warp's instruction stream in order, refilling a
+// pooled chunk window on demand. A KernelStream window is the whole
+// warp with eof set, so over a precomputed kernel the cursor never
+// refills and stepping is plain slice arithmetic.
 type Cursor struct {
 	win  []Instr
 	off  int
@@ -132,12 +131,6 @@ type Cursor struct {
 	lineSize int
 	block    int
 	warp     int
-}
-
-// InitPrecomputed points the cursor at a fully materialized warp
-// trace. No pool or refills are involved.
-func (c *Cursor) InitPrecomputed(wt *WarpTrace) {
-	*c = Cursor{win: wt.Instrs, eof: true}
 }
 
 // InitStream points the cursor at warp (block, warp) of src and loads
@@ -168,13 +161,7 @@ func (c *Cursor) Advance() {
 }
 
 // Rewind restarts the warp from its first instruction.
-func (c *Cursor) Rewind() {
-	if c.src == nil {
-		c.off = 0
-		return
-	}
-	c.refill(0)
-}
+func (c *Cursor) Rewind() { c.refill(0) }
 
 // Release returns the cursor's chunk to the pool and clears the
 // cursor. The chunk keeps its Resume continuation, so a warp of the
@@ -192,7 +179,13 @@ func (c *Cursor) refill(start int) {
 	}
 	c.chunk.Reset()
 	win, eof, owned := c.src.Fill(c.block, c.warp, start, c.chunk)
-	if owned && c.lineSize > 0 {
+	if !owned {
+		// The window aliases the stream's own storage: hand the chunk
+		// straight back so every resident warp of a precomputed kernel
+		// shares one pooled chunk instead of pinning a buffer each.
+		c.pool.Put(c.chunk)
+		c.chunk = nil
+	} else if c.lineSize > 0 {
 		memoizeChunkLines(c.chunk, win, c.lineSize)
 	}
 	c.win, c.eof, c.base, c.off = win, eof, start, 0

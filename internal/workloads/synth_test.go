@@ -1,7 +1,7 @@
 package workloads
 
 import (
-	"bytes"
+	"reflect"
 	"testing"
 )
 
@@ -22,22 +22,10 @@ func TestSynthKernelValidAndDeterministic(t *testing.T) {
 	if err := k1.Validate(32); err != nil {
 		t.Fatalf("generated kernel invalid: %v", err)
 	}
-	k2 := mixedSpec(42).Kernel()
-	var b1, b2 bytes.Buffer
-	if _, err := k1.WriteTo(&b1); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := k2.WriteTo(&b2); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(b1.Bytes(), b2.Bytes()) {
+	if !reflect.DeepEqual(k1, mixedSpec(42).Kernel()) {
 		t.Error("same spec generated different traces")
 	}
-	var b3 bytes.Buffer
-	if _, err := mixedSpec(43).Kernel().WriteTo(&b3); err != nil {
-		t.Fatal(err)
-	}
-	if bytes.Equal(b1.Bytes(), b3.Bytes()) {
+	if reflect.DeepEqual(k1, mixedSpec(43).Kernel()) {
 		t.Error("different seeds generated identical traces")
 	}
 }

@@ -178,7 +178,7 @@ func (s Spec) SharedKernel(lineSize int) *trace.Kernel {
 // the given scale factor (clamped to >= 1). Scale 1 streams exactly the
 // trace Generate materializes; larger scales multiply the block count
 // and shared footprints. Custom (non-registry) specs fall back to a
-// precomputed-kernel compat stream.
+// KernelStream over the generated kernel.
 func (s Spec) Stream(scale int) trace.Stream {
 	if scale < 1 {
 		scale = 1
